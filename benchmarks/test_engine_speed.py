@@ -32,7 +32,7 @@ from repro.core.accelerator import SpArch, _LeafStreamer
 from repro.core.config import SpArchConfig
 from repro.core.huffman import huffman_schedule
 from repro.core.partial_matrix import PartialMatrixStore
-from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
+from repro.core.streaming import StreamingLeafStreamer, StreamingMergeTree
 from repro.formats.csr import CSRMatrix
 from repro.hardware.merge_tree import MergeTree
 from repro.hardware.multiplier_array import MultiplierArray
@@ -61,14 +61,16 @@ def _run_engine_kernels(matrix: CSRMatrix, engine: str) -> tuple[np.ndarray, np.
     """Stream every leaf and execute the full merge plan on one engine."""
     multipliers = MultiplierArray(16)
     if engine == "vectorized":
-        streamer = VectorizedLeafStreamer(matrix, matrix, multipliers,
-                                          condensing=True)
-        tree = VectorizedMergeTree(num_layers=6)
+        streamer = StreamingLeafStreamer(matrix, matrix, multipliers,
+                                         condensing=True)
+        tree = StreamingMergeTree(num_layers=6)
     else:
         streamer = _LeafStreamer(matrix, matrix, multipliers, condensing=True)
         tree = MergeTree(num_layers=6)
     plan = huffman_schedule([float(w) for w in streamer.leaf_weights()],
                             tree.num_ways)
+    if engine == "vectorized":
+        streamer.bind_plan(plan)
     store = PartialMatrixStore(TrafficCounter())
     if plan.num_leaves == 1:
         return tree.merge([streamer.leaf_stream(0)])

@@ -9,8 +9,8 @@ SpGEMM result and the simulated performance/energy statistics.
 from repro.core.accelerator import SpArch, multiply
 from repro.core.column_fetcher import ColumnFetcher, FetchedElement
 from repro.core.condensing import condensed_column_weights, partial_matrix_sizes
-from repro.core.config import BACKEND_FIELDS, SpArchConfig
-from repro.core.fastpath import HAVE_NUMBA, fold_sorted_runs, row_offsets
+from repro.core.config import BACKEND_FIELDS, ENGINE_NAMES, SpArchConfig
+from repro.core.fastpath import fold_sorted_runs, row_offsets
 from repro.core.huffman import (
     MergePlan,
     MergeRound,
@@ -38,7 +38,7 @@ __all__ = [
     "partial_matrix_sizes",
     "SpArchConfig",
     "BACKEND_FIELDS",
-    "HAVE_NUMBA",
+    "ENGINE_NAMES",
     "fold_sorted_runs",
     "row_offsets",
     "MergePlan",

@@ -15,12 +15,12 @@ final cycle count is the maximum of the memory-bound and compute-bound
 estimates plus the per-round startup overhead — the bandwidth-bound analysis
 the paper's roofline (Figure 15) is built on.
 
-Three interchangeable backends implement the multiply/merge hot path, chosen
-by ``SpArchConfig.engine``: the scalar reference in this module
-(:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`),
-the batched implementation in :mod:`repro.core.vectorized`, and the
-bounded-memory chunked implementation in :mod:`repro.core.streaming` used
-for paper-scale runs.  All produce identical results and statistics — see
+Two implementations of the multiply/merge hot path exist, chosen by
+``SpArchConfig.engine``: the scalar reference in this module
+(:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`)
+and the fast engine (``"vectorized"``, alias ``"streaming"``) in
+:mod:`repro.core.streaming`, whose host working set is bounded by module
+constants.  Both produce identical results and statistics — see
 ``tests/integration/test_engine_equivalence.py``.  Everything else (plan
 construction, the prefetcher policy, traffic accounting, result
 materialisation) is shared code.
@@ -42,7 +42,6 @@ from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.core.prefetcher import PrefetchStats, RowPrefetcher
 from repro.core.stats import SimulationStats, SpGEMMResult
 from repro.core.streaming import StreamingLeafStreamer, StreamingMergeTree
-from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
@@ -179,13 +178,8 @@ class SpArch:
                            merger_width=config.merger_width,
                            chunk_size=config.merger_chunk_size,
                            fifo_capacity=config.partial_matrix_writer_fifo)
-        if config.engine == "streaming":
-            merge_tree: MergeTree = StreamingMergeTree(
-                block_elements=config.streaming_block_elements, **tree_kwargs)
-        elif config.engine == "vectorized":
-            merge_tree = VectorizedMergeTree(**tree_kwargs)
-        else:
-            merge_tree = MergeTree(**tree_kwargs)
+        fast = config.engine != "scalar"
+        merge_tree = (StreamingMergeTree if fast else MergeTree)(**tree_kwargs)
         store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
         writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
                                      fifo_depth=config.partial_matrix_writer_fifo)
@@ -199,24 +193,14 @@ class SpArch:
             stats.scheduler = self._scheduler_name()
             return SpGEMMResult(CSRMatrix.empty(result_shape), stats)
 
-        if config.engine == "streaming":
-            streamer: _LeafStreamer = StreamingLeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing,
-                chunk_leaves=config.streaming_chunk_leaves)
-        elif config.engine == "vectorized":
-            streamer = VectorizedLeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing)
-        else:
-            streamer = _LeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing)
+        streamer = (StreamingLeafStreamer if fast else _LeafStreamer)(
+            matrix_a, matrix_b, multipliers,
+            condensing=config.enable_matrix_condensing)
         weights = streamer.leaf_weights()
         plan = self._build_plan(weights)
-        if isinstance(streamer, StreamingLeafStreamer):
-            # Tell the lazy streamer which leaves the plan consumes next, so
-            # its generation chunks line up with consumption order.
+        if fast:
+            # Align the lazy streamer's generation chunks with the order
+            # the plan consumes leaves in.
             streamer.bind_plan(plan)
         plan_is_pipelined = config.enable_pipelined_merge
 
@@ -276,13 +260,8 @@ class SpArch:
     def _consumption_access_order(self, streamer: _LeafStreamer,
                                   plan: MergePlan) -> np.ndarray:
         """Right-matrix row sequence in the order leaves are consumed."""
-        pieces: list[np.ndarray] = []
-        for merge_round in plan.rounds:
-            for node_id in merge_round.input_ids:
-                if node_id < plan.num_leaves:
-                    pieces.append(streamer.leaf_access_order(node_id))
-        if not plan.rounds and plan.num_leaves == 1:
-            pieces.append(streamer.leaf_access_order(0))
+        pieces = [streamer.leaf_access_order(leaf)
+                  for leaf in plan.leaf_order()]
         if not pieces:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(pieces)

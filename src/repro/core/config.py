@@ -12,29 +12,26 @@ The defaults reproduce the configuration evaluated in the paper:
 The ``enable_*`` flags turn the paper's four techniques on and off for the
 breakdown experiment of Figure 16.
 
-The ``engine`` field selects between three functionally identical simulation
+The ``engine`` field selects between two functionally identical simulation
 backends (see :mod:`repro.core.vectorized`, :mod:`repro.core.streaming` and
 ``tests/integration/test_engine_equivalence.py``):
 
 * ``"scalar"`` — the reference implementation that walks partial products
   element by element and merges streams pairwise, mirroring the hardware
   structure one step at a time;
-* ``"vectorized"`` — batched numpy kernels (fancy-indexed partial-product
-  generation, one stable argsort per merge round, ``np.add.reduceat``
-  duplicate folding) with all cycle/traffic/comparator counters computed in
-  closed form so the statistics stay bit-identical to the scalar model;
-* ``"streaming"`` — the vectorized kernels with bounded working sets:
-  partial products are generated lazily in chunks of
-  ``streaming_chunk_leaves`` leaves as the merge plan consumes them, and
-  each merge round is folded block by block (``streaming_block_elements``
-  output elements at a time) instead of materialising every product of the
-  matrix at once.  This is the backend that runs paper-scale (10⁵+-row)
-  scenarios with unscaled Table I buffers.
+* ``"vectorized"`` (alias ``"streaming"``) — the fast engine: batched numpy
+  kernels (fancy-indexed partial-product generation, stable-argsort merge
+  rounds, ``np.add.reduceat`` duplicate folding) with all
+  cycle/traffic/comparator counters computed in closed form so the
+  statistics stay bit-identical to the scalar model.  Its host working set
+  is bounded by constants in :mod:`repro.core.streaming`, not by
+  configuration: small multiplies generate every product in one pass and
+  sort each merge round once, while paper-scale (10⁵+-row) scenarios are
+  generated in product-budget chunks and merged in key-cutoff blocks.
 
-The two ``streaming_*`` chunk sizes are *simulation-host* tuning knobs, not
-architecture: they never change results, counters or traffic (a hypothesis
-property test pins this), so they are excluded from cache keys and config
-fingerprints via :data:`BACKEND_FIELDS`.
+The backend never changes a simulated quantity, so ``engine`` is excluded
+from cache keys and config fingerprints via :data:`BACKEND_FIELDS`; the
+name is recorded as given.
 """
 
 from __future__ import annotations
@@ -45,12 +42,16 @@ from dataclasses import dataclass
 from repro.memory.hbm import HBMConfig
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
-#: Config fields that select or tune the simulation *backend* without
-#: affecting any simulated quantity.  Cache keys and config fingerprints
+#: Accepted values of :attr:`SpArchConfig.engine` — the one list every
+#: validator and CLI choice reads.  ``"streaming"`` is an alias of
+#: ``"vectorized"``: both names run the same fast engine.
+ENGINE_NAMES = ("scalar", "vectorized", "streaming")
+
+#: Config fields that select the simulation *backend* without affecting any
+#: simulated quantity.  Cache keys and config fingerprints
 #: (``repro.experiments.runner``, ``repro.engines.sparch``) exclude them so
-#: switching backends or chunk sizes reuses existing cached results.
-BACKEND_FIELDS = ("engine", "streaming_chunk_leaves",
-                  "streaming_block_elements")
+#: switching backends reuses existing cached results.
+BACKEND_FIELDS = ("engine",)
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,9 @@ class SpArchConfig:
             the look-ahead FIFO and the merge-tree pipelines); this is the
             startup overhead §III-C credits matrix condensing with amortising.
         hbm: HBM memory configuration.
-        engine: simulation backend — ``"vectorized"`` (default),
-            ``"scalar"`` or ``"streaming"``; all produce identical results
-            and statistics.
-        streaming_chunk_leaves: (streaming engine only) number of merge-plan
-            leaves whose partial products are generated per batch; bounds
-            the multiplier-side working set.
-        streaming_block_elements: (streaming engine only) approximate
-            number of merged elements folded per block inside a merge
-            round; bounds the merge-side working set.
+        engine: simulation backend — ``"vectorized"`` (default, the fast
+            engine), its alias ``"streaming"``, or the ``"scalar"``
+            reference; all produce identical results and statistics.
         enable_pipelined_merge: pipeline multiply and merge on chip (the
             first of the paper's four techniques).  When disabled the model
             degenerates to the two-phase OuterSPACE-style dataflow.
@@ -108,8 +103,6 @@ class SpArchConfig:
     round_startup_cycles: int = 256
     hbm: HBMConfig = dataclasses.field(default_factory=HBMConfig)
     engine: str = "vectorized"
-    streaming_chunk_leaves: int = 64
-    streaming_block_elements: int = 1 << 16
     enable_pipelined_merge: bool = True
     enable_matrix_condensing: bool = True
     enable_huffman_scheduler: bool = True
@@ -133,15 +126,9 @@ class SpArchConfig:
             raise ValueError("merger_width must be a multiple of merger_chunk_size")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
-        if self.engine not in ("scalar", "vectorized", "streaming"):
+        if self.engine not in ENGINE_NAMES:
             raise ValueError(
-                "engine must be 'scalar', 'vectorized' or 'streaming', "
-                f"got {self.engine!r}"
-            )
-        check_positive_int(self.streaming_chunk_leaves,
-                           "streaming_chunk_leaves")
-        check_positive_int(self.streaming_block_elements,
-                           "streaming_block_elements")
+                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}")
 
     # ------------------------------------------------------------------
     @property

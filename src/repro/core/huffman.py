@@ -114,6 +114,14 @@ class MergePlan:
             return 0.0
         return self.internal_weight - self.nodes[self.root_id].weight
 
+    def leaf_order(self) -> list[int]:
+        """Leaf ids in the order the rounds consume them."""
+        if not self.rounds:
+            return list(range(self.num_leaves))
+        return [node_id for merge_round in self.rounds
+                for node_id in merge_round.input_ids
+                if node_id < self.num_leaves]
+
     def leaf_depths(self) -> list[int]:
         """Depth of every leaf in the scheduled tree (root depth = 0)."""
         if self._depths:

@@ -1,4 +1,4 @@
-"""Vectorized simulation backend (``SpArchConfig(engine="vectorized")``).
+"""Batched metadata and accounting shared by the fast SpArch engine.
 
 The scalar backend walks the multiply/merge hot path one Python object at a
 time: :meth:`~repro.hardware.multiplier_array.MultiplierArray.multiply_column`
@@ -6,26 +6,27 @@ loops over left-matrix elements and the merge tree runs a pairwise stable
 tournament with one ``argsort`` per node pair.  Both are faithful to the
 hardware structure but dominate the simulation runtime.
 
-This module provides drop-in replacements that compute *exactly* the same
-functional result and *exactly* the same statistics with batched numpy
-kernels:
+The fast engine (``SpArchConfig.engine`` ``"vectorized"`` or its alias
+``"streaming"``) computes *exactly* the same functional result and *exactly*
+the same statistics with batched numpy kernels.  This module holds its
+size-independent halves; the bounded execution on top of them lives in
+:mod:`repro.core.streaming`:
 
-* :class:`VectorizedLeafStreamer` — partial-product generation for a whole
-  merge-plan leaf with ``np.repeat`` + fancy indexing (one gather instead of
-  one Python iteration per left element);
-* :class:`VectorizedMergeTree` — one ``np.concatenate`` + stable ``argsort``
-  per merge round instead of the pairwise tournament, duplicate folding via
-  :func:`repro.core.fastpath.fold_sorted_runs` (the same ``np.add.reduceat``
-  kernel the scalar adder uses), and boolean-mask zero elimination.  The
-  cycle, comparator-operation and per-layer traffic counters are computed in
-  closed form from the input stream *lengths*, replaying the tournament
-  accounting without moving any elements.
+* :class:`VectorizedLeafStreamer` — groups the left operand's elements by
+  merge-plan leaf once (O(nnz(A)) metadata), keeps the multiplier counters
+  as prefix sums, and generates the partial products of any set of
+  elements with ``np.repeat`` + fancy indexing (one gather instead of one
+  Python iteration per left element);
+* :class:`VectorizedMergeTree` — replays the pairwise tournament's cycle,
+  comparator-operation and per-layer traffic counters in closed form from
+  the input stream *lengths*, without moving any elements, and leaves the
+  functional merge+fold to the subclass.
 
 Why the results are bit-identical to the scalar backend:
 
 * A pairwise tournament of stable two-way merges over the input list is a
   bottom-up stable mergesort, which orders equal keys by original stream
-  position — exactly what one stable ``argsort`` over the concatenation
+  position — exactly what a stable ``argsort`` over the concatenation
   produces.  Since the merged element order matches, the duplicate folds —
   ``np.add.reduceat`` over run starts, the same kernel
   :class:`~repro.hardware.adder.AdderSlice` uses for the scalar tree —
@@ -35,12 +36,6 @@ Why the results are bit-identical to the scalar backend:
   the same order (``value * B[k, c]``), only batched.
 * Every counter the scalar model accumulates per element or per node pair is
   a function of the stream lengths only, so it can be summed directly.
-
-Both halves of the hot path are deliberately split into *metadata* and
-*execution* so the streaming backend (:mod:`repro.core.streaming`) can reuse
-them: the leaf streamer separates element grouping (cheap, O(nnz(A))) from
-product materialisation (the peak-memory term), and the merge tree separates
-tournament accounting from the functional merge+fold.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.
@@ -54,7 +49,7 @@ from repro.core.condensing import (
     original_column_partial_sizes,
     partial_matrix_sizes,
 )
-from repro.core.fastpath import fold_sorted_runs, row_offsets
+from repro.core.fastpath import row_offsets
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
@@ -64,19 +59,16 @@ from repro.hardware.multiplier_array import MultiplierArray
 
 
 class VectorizedLeafStreamer:
-    """Batched replacement for the accelerator's scalar leaf streamer.
+    """Leaf metadata and batched product generation for the fast engine.
 
-    Exposes the same interface (``num_leaves``, ``leaf_weights``,
-    ``leaf_a_elements``, ``leaf_access_order``, ``leaf_stream``) but
+    Exposes the scalar leaf streamer's metadata interface (``num_leaves``,
+    ``leaf_weights``, ``leaf_a_elements``, ``leaf_access_order``) but
     pre-groups the left operand's elements by merge-plan leaf once, so each
-    ``leaf_stream`` call is a constant number of numpy gathers.
-
-    ``__init__`` only builds the per-leaf grouping *metadata* (element
-    boundaries, left operand arrays in leaf order, per-element product
-    counts and multiplier-cycle prefix sums — all O(nnz(A))); the
-    :meth:`_materialise` hook then generates the partial products for every
-    leaf at once.  The streaming subclass overrides that hook to defer
-    generation until each leaf is consumed.
+    query is a constant number of numpy gathers.  ``__init__`` builds only
+    this O(nnz(A)) metadata — element boundaries, left operand arrays in
+    leaf order, per-element product counts and multiplier-cycle prefix
+    sums; :class:`~repro.core.streaming.StreamingLeafStreamer` adds
+    ``leaf_stream`` on top of :meth:`_generate_products`.
 
     Args:
         matrix_a: left operand in CSR format.
@@ -151,21 +143,8 @@ class VectorizedLeafStreamer:
         self._cycles_prefix = np.concatenate(
             [np.zeros(1, dtype=np.int64),
              np.cumsum((counts + throughput - 1) // throughput)])
-        self._materialise()
 
     # ------------------------------------------------------------------
-    def _materialise(self) -> None:
-        """Generate the partial products of every leaf at once.
-
-        One batched multiply for all leaves: ``np.repeat`` spreads each
-        left element over its right-matrix row, a fancy-indexed gather
-        pulls the row contents, and each leaf's partial products end up in
-        one contiguous slice (left elements by ascending row, each row's
-        products by ascending column — the scalar concatenation order).
-        """
-        self._prod_keys, self._prod_vals = self._generate_products(
-            np.arange(len(self._left_cols), dtype=np.int64))
-
     def _generate_products(self, elem_idx: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Partial products of the given leaf-grouped element positions.
@@ -231,31 +210,17 @@ class VectorizedLeafStreamer:
         stats.cycles += int(self._cycles_prefix[self._elem_starts[leaf + 1]]
                             - self._cycles_prefix[self._elem_starts[leaf]])
 
-    def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return one leaf's sorted (key, value) partial-product stream.
-
-        The products were generated for all leaves at once in ``__init__``,
-        so this is a slice plus O(1) multiplier-counter updates.
-        """
-        self._record_leaf_counters(leaf)
-        start, stop = self._prod_starts[leaf], self._prod_starts[leaf + 1]
-        return self._prod_keys[start:stop], self._prod_vals[start:stop]
-
 
 class VectorizedMergeTree(MergeTree):
-    """Merge tree with batched merging and closed-form activity counters.
+    """Merge tree whose activity counters are replayed in closed form.
 
-    Functionally merges each round with one stable argsort over the
-    concatenated inputs (equal keys keep input-list order, matching the
-    pairwise stable tournament), folds duplicates with the shared
-    :func:`~repro.core.fastpath.fold_sorted_runs` kernel and drops zeros
-    with a boolean mask.  The per-layer merger counters are replayed from
-    the stream lengths alone, so ``stats`` (and the shared layer mergers' /
-    adder's counters) match the scalar tree exactly.
-
-    :meth:`merge` is split into tournament *accounting* (lengths only) and
-    the functional :meth:`_merge_and_fold`; the streaming tree overrides
-    only the latter with a blocked, bounded-working-set equivalent.
+    :meth:`merge` validates the input streams, replays the pairwise
+    tournament's per-layer merger counters from the stream lengths alone
+    (so ``stats`` and the shared layer mergers' / adder's counters match
+    the scalar tree exactly) and delegates the functional merge + duplicate
+    folding to the ``_merge_and_fold`` hook, which
+    :class:`~repro.core.streaming.StreamingMergeTree` implements with
+    bounded sort blocks.
     """
 
     def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]
@@ -328,25 +293,3 @@ class VectorizedMergeTree(MergeTree):
         total_elements = current[0]
         self.stats.elements_into_root += total_elements
         return total_elements
-
-    def _merge_and_fold(self, cleaned: list[tuple[np.ndarray, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Functional merge + fused duplicate folding / zero elimination.
-
-        One stable sort over the whole concatenation; updates the adder
-        counters for the processed elements.
-        """
-        if len(cleaned) == 1:
-            merged_keys, merged_vals = cleaned[0]
-        else:
-            all_keys = np.concatenate([keys for keys, _ in cleaned])
-            all_vals = np.concatenate([vals for _, vals in cleaned])
-            order = np.argsort(all_keys, kind="stable")
-            merged_keys = all_keys[order]
-            merged_vals = all_vals[order]
-
-        out_keys, out_vals, num_runs = fold_sorted_runs(merged_keys,
-                                                        merged_vals)
-        self._adder.stats.elements_processed += len(merged_keys)
-        self._adder.stats.additions += len(merged_keys) - num_runs
-        return out_keys, out_vals

@@ -16,15 +16,16 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+from repro.core.config import ENGINE_NAMES
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
 
 #: The execution backends every engine understands, proven identical by the
-#: differential harnesses: a scalar reference loop, a vectorized fast path,
-#: and (for the SpArch core) the bounded-memory streaming backend used at
-#: paper scale.  Baselines have no streaming core and map "streaming" to
-#: their vectorized path.
-BACKENDS = ("scalar", "vectorized", "streaming")
+#: differential harnesses: a scalar reference loop and one fast engine,
+#: named "vectorized" or, equivalently, "streaming" (the SpArch core runs
+#: the same bounded-memory engine under both names).  Baselines map
+#: "streaming" to their vectorized path.
+BACKENDS = ENGINE_NAMES
 
 
 @dataclass

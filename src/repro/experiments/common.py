@@ -239,9 +239,10 @@ def paper_scale_config(base_config: SpArchConfig | None = None) -> SpArchConfig:
     """The configuration paper-scale (10⁵+-row) scenarios run under.
 
     Unscaled Table I buffers — at this dimension the capacity-to-working-set
-    ratio *is* the paper's operating point, so no proxy compensation applies
-    — on the streaming backend, whose working set is bounded per merge
-    round rather than per matrix.
+    ratio *is* the paper's operating point, so no proxy compensation applies.
+    The engine is named ``"streaming"``, an alias of the default fast
+    engine, whose working set is bounded by constant budgets rather than
+    by the matrix; the name keeps the sweep's recorded backend unchanged.
     """
     base_config = base_config or SpArchConfig()
     return base_config.replace(engine="streaming")

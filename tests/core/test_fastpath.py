@@ -1,15 +1,10 @@
-"""Unit tests for the compiled fast-path kernels (`repro.core.fastpath`)."""
+"""Unit tests for the fast-path kernels (`repro.core.fastpath`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fastpath import (
-    HAVE_NUMBA,
-    _fold_sorted_runs_numpy,
-    fold_sorted_runs,
-    row_offsets,
-)
+from repro.core.fastpath import fold_sorted_runs, row_offsets
 
 
 def reference_fold(keys, values):
@@ -75,14 +70,11 @@ class TestFoldSortedRuns:
         out_keys, _, _ = fold_sorted_runs(keys, vals)
         assert out_keys.dtype == np.int32
 
-    def test_numpy_variant_always_available(self):
-        # Whatever backend is installed, the numpy reference must exist
-        # and agree — it is the contract the numba loop is held to.
+    def test_folded_run_and_negative_value_match_reference(self):
         keys = np.array([1, 1, 2], dtype=np.int64)
         vals = np.array([0.5, 0.5, -1.0])
-        assert isinstance(HAVE_NUMBA, bool)
         got = fold_sorted_runs(keys, vals)
-        want = _fold_sorted_runs_numpy(keys, vals)
+        want = reference_fold(keys, vals)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]

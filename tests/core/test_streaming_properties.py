@@ -1,20 +1,22 @@
-"""Property test: streaming output is invariant under chunk-size choice.
+"""Property test: the fast engine's output is invariant under its budgets.
 
-``streaming_chunk_leaves`` and ``streaming_block_elements`` are
-simulation-host knobs — per the contract in :mod:`repro.core.config` they
-must never change a result array, a counter, or a DRAM byte.  This test
-drives the full accelerator over random operands and random chunk sizes
-(*including* the degenerate extremes: one leaf / one element per batch, and
-batches larger than the whole problem) and compares everything against the
-vectorized engine.
+The working-set bounds in :mod:`repro.core.streaming` —
+``PRODUCT_BUDGET``, ``ROUND_BUDGET`` and ``BLOCK_ELEMENTS`` — are
+simulation-host constants: they must never change a result array, a
+counter, or a DRAM byte.  This test drives the full accelerator over random
+operands and random budgets (*including* the degenerate extremes: one
+product / one element per batch, and budgets larger than the whole problem)
+and compares everything against the scalar reference engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import streaming
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.formats.convert import coo_to_csr
@@ -54,8 +56,11 @@ def csr_pairs(draw, max_dim: int = 14, max_nnz: int = 50):
     return build(rows_a, inner), build(inner, cols_b)
 
 
-#: Chunk strategies always covering the extremes (1, and ≥ everything).
-chunk_leaves = st.one_of(st.just(1), st.integers(2, 7), st.just(10 ** 6))
+#: Budget strategies always covering the extremes (1, and ≥ everything);
+#: a round budget of 0 sends every round through the key-cutoff blocks.
+product_budgets = st.one_of(st.just(1), st.integers(2, 60), st.just(10 ** 6))
+round_budgets = st.one_of(st.just(0), st.just(1), st.integers(2, 50),
+                          st.just(10 ** 9))
 block_elements = st.one_of(st.just(1), st.integers(2, 50), st.just(10 ** 9))
 
 ablations = st.sampled_from([
@@ -66,18 +71,23 @@ ablations = st.sampled_from([
 ])
 
 
-@given(csr_pairs(), chunk_leaves, block_elements, ablations)
+@given(csr_pairs(), product_budgets, round_budgets, block_elements,
+       ablations)
 @settings(max_examples=40, deadline=None)
-def test_streaming_invariant_under_chunk_sizes(pair, chunk, block, features):
+def test_streaming_invariant_under_budgets(pair, products, round_budget,
+                                           block, features):
     matrix_a, matrix_b = pair
     config = SpArchConfig(merge_tree_layers=2, prefetch_buffer_lines=8,
                           prefetch_line_elements=4,
                           lookahead_fifo_elements=32, **features)
-    reference = SpArch(config.replace(engine="vectorized")).multiply(
+    reference = SpArch(config.replace(engine="scalar")).multiply(
         matrix_a, matrix_b)
-    streamed = SpArch(config.replace(
-        engine="streaming", streaming_chunk_leaves=chunk,
-        streaming_block_elements=block)).multiply(matrix_a, matrix_b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streaming, "PRODUCT_BUDGET", products)
+        patch.setattr(streaming, "ROUND_BUDGET", round_budget)
+        patch.setattr(streaming, "BLOCK_ELEMENTS", block)
+        streamed = SpArch(config.replace(engine="streaming")).multiply(
+            matrix_a, matrix_b)
 
     for field in COMPARED_STATS:
         assert (getattr(reference.stats, field)

@@ -5,7 +5,7 @@ exceeds 2³¹ used to wrap the linearised merge keys on platforms where the
 intermediate stayed 32-bit, silently folding unrelated coordinates
 together.  The end-to-end test below builds such a shape *cheaply* (huge
 dimensions, four nonzeros) and checks the one output coordinate whose key
-lands beyond the int32 keyspace, through all three engines.
+lands beyond the int32 keyspace, through every engine name.
 """
 
 from __future__ import annotations

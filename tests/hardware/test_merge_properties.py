@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
+from repro.core.streaming import StreamingMergeTree
 from repro.formats.csr import CSRMatrix
 from repro.hardware.merge_tree import MergeTree
-from repro.core.vectorized import VectorizedMergeTree
 from repro.hardware.zero_eliminator import ZeroEliminator, eliminate_zeros
 
 # ----------------------------------------------------------------------
@@ -65,7 +65,7 @@ def sparse_matrices(draw, max_dim=24, max_nnz=60):
 # Merge tree properties (both backends)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("tree_class", [MergeTree, VectorizedMergeTree])
+@pytest.mark.parametrize("tree_class", [MergeTree, StreamingMergeTree])
 @given(streams=sorted_streams())
 @settings(max_examples=60, deadline=None)
 def test_merge_output_is_folded_sorted_and_zero_free(tree_class, streams):

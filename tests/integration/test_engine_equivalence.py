@@ -1,9 +1,9 @@
 """Differential harness: every engine must match the scalar reference.
 
-The vectorized backend (:mod:`repro.core.vectorized`) and the streaming
-backend (:mod:`repro.core.streaming`) are only allowed to be *faster* /
-*leaner* — every functional output and every statistic must be exactly the
-output of the scalar reference model.  This module locks that contract down
+The fast engine (:mod:`repro.core.vectorized` + :mod:`repro.core.streaming`,
+run under both of its names, ``"vectorized"`` and ``"streaming"``) is only
+allowed to be *faster* / *leaner* — every functional output and every
+statistic must be exactly the output of the scalar reference model.  This module locks that contract down
 over
 
 * a grid of synthetic + rMAT matrices (square and rectangular, with
@@ -24,6 +24,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import streaming
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.formats.csr import CSRMatrix
@@ -44,7 +45,7 @@ ABLATION_GRID = list(itertools.product([True, False], repeat=4))
 
 def assert_engines_agree(matrix_a: CSRMatrix, matrix_b: CSRMatrix,
                          config: SpArchConfig) -> None:
-    """Run all three engines on ``A · B`` and compare result + statistics."""
+    """Run every engine name on ``A · B`` and compare result + statistics."""
     scalar = SpArch(config.replace(engine="scalar")).multiply(matrix_a, matrix_b)
     for engine in ("vectorized", "streaming"):
         other = SpArch(config.replace(engine=engine)).multiply(
@@ -157,16 +158,19 @@ def test_cancelling_products():
     "pipelined,condensing,huffman,prefetcher", ABLATION_GRID,
     ids=lambda value: "on" if value is True else
         ("off" if value is False else str(value)))
-def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
-                                             condensing, huffman, prefetcher):
-    """Streaming with forced multi-chunk execution matches the vectorized
-    engine under every ablation combination.
+def test_streaming_tiny_chunks_all_ablations(grid_matrices, monkeypatch,
+                                             pipelined, condensing, huffman,
+                                             prefetcher):
+    """The fast engine with forced multi-chunk execution matches the scalar
+    reference under every ablation combination.
 
-    Chunk sizes far below the leaf/product counts force many generation
-    chunks and many fold blocks per round — the regime where a carry or
-    tie-break bug would surface.  (The scalar cross-check of the same grid
-    runs in ``test_all_ablation_combinations``.)
+    Budgets far below the product and round sizes force many generation
+    chunks and many key-cutoff fold blocks per round — the regime where a
+    carry or tie-break bug would surface.
     """
+    monkeypatch.setattr(streaming, "PRODUCT_BUDGET", 97)
+    monkeypatch.setattr(streaming, "ROUND_BUDGET", 0)
+    monkeypatch.setattr(streaming, "BLOCK_ELEMENTS", 97)
     config = SpArchConfig(
         enable_pipelined_merge=pipelined,
         enable_matrix_condensing=condensing,
@@ -178,14 +182,15 @@ def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
         lookahead_fifo_elements=256,
     )
     matrix = grid_matrices["rmat-400-x8"]
-    reference = SpArch(config.replace(engine="vectorized")).multiply(
+    reference = SpArch(config.replace(engine="scalar")).multiply(
         matrix, matrix)
-    streamed = SpArch(config.replace(
-        engine="streaming", streaming_chunk_leaves=3,
-        streaming_block_elements=97)).multiply(matrix, matrix)
+    streamed = SpArch(config.replace(engine="streaming")).multiply(
+        matrix, matrix)
     for field in COMPARED_STATS:
         assert (getattr(reference.stats, field)
                 == getattr(streamed.stats, field)), field
+    assert (reference.stats.traffic.by_category()
+            == streamed.stats.traffic.by_category())
     np.testing.assert_array_equal(reference.matrix.indptr,
                                   streamed.matrix.indptr)
     np.testing.assert_array_equal(reference.matrix.indices,

@@ -8,7 +8,10 @@ the whole repository is collected in one pytest run.
 from __future__ import annotations
 
 import os
+import time
 import warnings
+from contextlib import contextmanager
+from typing import Iterator
 
 #: Soft-fail switch for shared CI runners: report the shortfall, don't flake.
 SOFT_ENV = "REPRO_BENCH_SOFT"
@@ -39,3 +42,27 @@ def record_result(name: str, **metrics: float) -> None:
     scalar_seconds=…, vectorized_seconds=…, speedup=…)``.
     """
     RECORDED[name] = {key: float(value) for key, value in metrics.items()}
+
+
+@contextmanager
+def timed_calls(owner: type, name: str) -> Iterator[list[float]]:
+    """Collect the wall seconds of every call of ``owner.name`` in the block.
+
+    Speed tests use it to record one phase's seconds (e.g. the prefetcher's
+    ``RowPrefetcher.simulate``) next to the end-to-end number.
+    """
+    seconds: list[float] = []
+    original = vars(owner)[name]
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            seconds.append(time.perf_counter() - start)
+
+    setattr(owner, name, timed)
+    try:
+        yield seconds
+    finally:
+        setattr(owner, name, original)

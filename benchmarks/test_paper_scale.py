@@ -12,6 +12,9 @@ quantities:
   README.md § Paper scale).
 * ``peak_rss_mib`` — the process high-water mark after the run, a coarse
   regression tripwire for the streaming core's bounded-memory claim.
+* ``prefetch_seconds`` and ``native`` — the fastest timed prefetch phase
+  (``RowPrefetcher.simulate``) and whether it ran as the C kernel, so a
+  run without a C compiler is not mistaken for a regression.
 
 The threshold is deliberately loose (~15× below the measured laptop
 number): it exists to catch complexity regressions (an accidentally
@@ -25,8 +28,10 @@ from __future__ import annotations
 import resource
 import time
 
-from bench_results import enforce_threshold, record_result
+from bench_results import enforce_threshold, record_result, timed_calls
+from repro.core import native
 from repro.core.accelerator import SpArch
+from repro.core.prefetcher import RowPrefetcher
 from repro.experiments.common import (
     PAPER_SCALE_MAX_ROWS,
     load_paper_scale_suite,
@@ -64,7 +69,8 @@ def test_paper_scale_rung_streaming_throughput():
     # output statistics.
     result = accelerator.multiply(matrix, matrix)
     assert result.matrix.nnz > 0
-    best = _best_of(REPEATS, lambda: accelerator.multiply(matrix, matrix))
+    with timed_calls(RowPrefetcher, "simulate") as prefetch_seconds:
+        best = _best_of(REPEATS, lambda: accelerator.multiply(matrix, matrix))
     rows_per_second = matrix.shape[0] / best
     peak_rss_mib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                     / 1024.0)
@@ -77,6 +83,8 @@ def test_paper_scale_rung_streaming_throughput():
                   output_nnz=result.matrix.nnz,
                   merge_rounds=result.stats.num_merge_rounds,
                   peak_rss_mib=peak_rss_mib,
+                  prefetch_seconds=min(prefetch_seconds),
+                  native=native.LIB is not None,
                   threshold=MIN_ROWS_PER_SECOND)
     if rows_per_second < MIN_ROWS_PER_SECOND:
         enforce_threshold(

@@ -21,7 +21,7 @@ backends (see :mod:`repro.core.vectorized`, :mod:`repro.core.streaming` and
   structure one step at a time;
 * ``"vectorized"`` (alias ``"streaming"``) — the fast engine: batched numpy
   kernels (fancy-indexed partial-product generation, stable-argsort merge
-  rounds, ``np.add.reduceat`` duplicate folding) with all
+  rounds, a duplicate fold with ``np.add.reduceat``'s association) with all
   cycle/traffic/comparator counters computed in closed form so the
   statistics stay bit-identical to the scalar model.  Its host working set
   is bounded by constants in :mod:`repro.core.streaming`, not by

@@ -17,7 +17,10 @@ Replacement policy, as in the paper:
   the resident remainder still produces hits later (Figure 9, step 7→8).
 
 The simulation runs at *segment* (buffer line) granularity and reports the
-DRAM bytes read for matrix B, the hit rate, and the eviction count.
+DRAM bytes read for matrix B, the hit rate, and the eviction count.  Its
+general loop runs as the C kernel of :mod:`repro.core.native` when that
+loaded, and otherwise as :meth:`RowPrefetcher._simulate_loop`, the Python
+reference; both give identical statistics and buffer state.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import native
 from repro.core.lookahead import UNKNOWN_NEXT_USE
 from repro.formats.csr import CSRMatrix
 from repro.memory.buffer import RowBuffer
@@ -111,17 +115,23 @@ class RowPrefetcher:
         Returns:
             :class:`PrefetchStats` with hit rates and DRAM byte counts.
         """
-        access_sequence = np.asarray(access_sequence, dtype=np.int64)
+        access_sequence = np.ascontiguousarray(access_sequence, dtype=np.int64)
         stats = PrefetchStats()
         if len(access_sequence) == 0:
             return stats
+        num_rows = len(self._row_nnz)
+        if (int(access_sequence.min()) < 0
+                or int(access_sequence.max()) >= num_rows):
+            position = int(np.flatnonzero((access_sequence < 0)
+                                          | (access_sequence >= num_rows))[0])
+            raise IndexError(
+                f"access {position} reads row {int(access_sequence[position])}"
+                f" of a {num_rows}-row right operand")
 
-        # Per-row geometry, precomputed once: segment count, size of the
-        # (possibly short) last segment, and total bytes.  The per-access
-        # loop then runs in O(resident + missing) instead of re-deriving
-        # them per segment.
+        # Per-row geometry, precomputed once: segment count and size of the
+        # (possibly short) last segment.  The per-access loop then runs in
+        # O(resident + missing) instead of re-deriving them per segment.
         full = self._buffer.line_elements
-        element_bytes = self._buffer.element_bytes
         row_nnz = self._row_nnz
         num_segments_arr = (-(-row_nnz // full)).astype(np.int64)
         last_elements_arr = row_nnz - (np.maximum(num_segments_arr, 1) - 1) * full
@@ -131,11 +141,85 @@ class RowPrefetcher:
         # simulation collapses to "first touch misses, repeats hit" — exactly
         # computable with one first-occurrence mask and no replacement heap.
         if self._buffer.lines_used == 0:
-            distinct_rows = np.unique(access_sequence)
+            touched = np.zeros(num_rows, dtype=bool)
+            touched[access_sequence] = True
+            distinct_rows = np.flatnonzero(touched)
             if int(num_segments_arr[distinct_rows].sum()) <= self._buffer.num_lines:
                 return self._simulate_unbounded(access_sequence, distinct_rows,
                                                 num_segments_arr, stats)
 
+        if native.LIB is not None:
+            inserted_lines = self._simulate_native(
+                access_sequence, num_segments_arr, last_elements_arr, stats)
+        else:
+            inserted_lines = self._simulate_loop(
+                access_sequence, num_segments_arr, last_elements_arr, stats)
+        stats.accesses = len(access_sequence)
+        self._buffer.record_hit(stats.segment_hits)
+        self._buffer.record_miss(stats.segment_misses)
+        self._buffer.apply_policy_effects(inserted_lines=inserted_lines,
+                                          evicted_lines=stats.evicted_lines)
+        return stats
+
+    def _simulate_native(self, access_sequence: np.ndarray,
+                         num_segments_arr: np.ndarray,
+                         last_elements_arr: np.ndarray,
+                         stats: PrefetchStats) -> int:
+        """The replacement loop in C (:mod:`repro.core.native`).
+
+        Residency crosses the boundary as one byte per row segment, laid
+        out by the prefix sum of the segment counts: resident segments are
+        not always a prefix of their row (an over-long row evicts its own
+        top segments while it is fetched, and a warm start can leave any
+        set).  Fills ``stats`` and ``resident_map`` exactly as
+        :meth:`_simulate_loop` does and returns the inserted line count.
+        """
+        seg_offset = np.zeros(len(num_segments_arr) + 1, dtype=np.int64)
+        np.cumsum(num_segments_arr, out=seg_offset[1:])
+        resident = np.zeros(int(seg_offset[-1]), dtype=np.uint8)
+        resident_map = self._buffer.resident_map
+        resident[[int(seg_offset[row]) + segment
+                  for row, segments in resident_map.items()
+                  for segment in segments]] = 1
+        miss_bytes, counters = native.prefetch_simulate(
+            access_sequence, num_segments_arr,
+            np.ascontiguousarray(self._row_nnz, dtype=np.int64),
+            np.ascontiguousarray(last_elements_arr, dtype=np.int64),
+            seg_offset, resident,
+            line_elements=self._buffer.line_elements,
+            element_bytes=self._buffer.element_bytes,
+            window=self._lookahead_window,
+            lines_free=self._buffer.lines_free)
+        (stats.element_hits, stats.element_misses, stats.segment_hits,
+         stats.segment_misses, stats.evicted_lines, stats.dram_bytes_read,
+         stats.bytes_without_buffer, inserted_lines) = counters
+        stats.per_access_miss_bytes = miss_bytes.tolist()
+
+        lines = np.flatnonzero(resident)
+        rows = np.searchsorted(seg_offset, lines, side="right") - 1
+        resident_map.clear()
+        for row, segment in zip(rows.tolist(),
+                                (lines - seg_offset[rows]).tolist()):
+            segments = resident_map.get(row)
+            if segments is None:
+                resident_map[row] = {segment}
+            else:
+                segments.add(segment)
+        return inserted_lines
+
+    def _simulate_loop(self, access_sequence: np.ndarray,
+                       num_segments_arr: np.ndarray,
+                       last_elements_arr: np.ndarray,
+                       stats: PrefetchStats) -> int:
+        """The replacement loop in Python: the reference for the C kernel.
+
+        Fills ``stats``, mutates the buffer's ``resident_map`` and returns
+        the number of lines inserted; the caller reconciles the buffer's
+        counters.
+        """
+        full = self._buffer.line_elements
+        element_bytes = self._buffer.element_bytes
+        row_nnz = self._row_nnz
         initially_resident = sorted(self._buffer.resident_rows)
 
         # Next occurrence of the same row after each position, vectorized: a
@@ -358,18 +442,13 @@ class RowPrefetcher:
                 heappush(heap,
                          ((max_priority - next_position) << stamp_shift) | stamp)
 
-        stats.accesses = len(access_sequence)
         stats.element_hits = element_hits
         stats.element_misses = element_misses
         stats.segment_hits = segment_hits
         stats.segment_misses = segment_misses
         stats.dram_bytes_read = dram_bytes_read
         stats.bytes_without_buffer = bytes_without_buffer
-        buffer.record_hit(segment_hits)
-        buffer.record_miss(segment_misses)
-        buffer.apply_policy_effects(inserted_lines=inserted_lines,
-                                    evicted_lines=stats.evicted_lines)
-        return stats
+        return inserted_lines
 
     def _simulate_unbounded(self, access_sequence: np.ndarray,
                             distinct_rows: np.ndarray,

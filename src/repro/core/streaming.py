@@ -214,7 +214,9 @@ class StreamingMergeTree(VectorizedMergeTree):
             all_vals = np.concatenate([vals for _, vals in block])
             order = np.argsort(all_keys, kind="stable")
             keys, vals = all_keys[order], all_vals[order]
-        out_keys, out_vals, num_runs = fold_sorted_runs(keys, vals)
+        # The gathered arrays are this block's own, so they fold in place.
+        out_keys, out_vals, num_runs = fold_sorted_runs(
+            keys, vals, overwrite=len(block) > 1)
         self._adder.stats.elements_processed += len(keys)
         self._adder.stats.additions += len(keys) - num_runs
         return out_keys, out_vals

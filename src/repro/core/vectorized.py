@@ -28,7 +28,8 @@ Why the results are bit-identical to the scalar backend:
   bottom-up stable mergesort, which orders equal keys by original stream
   position — exactly what a stable ``argsort`` over the concatenation
   produces.  Since the merged element order matches, the duplicate folds —
-  ``np.add.reduceat`` over run starts, the same kernel
+  :func:`~repro.core.fastpath.fold_sorted_runs`, which sums each run with
+  the association of ``np.add.reduceat``, the kernel
   :class:`~repro.hardware.adder.AdderSlice` uses for the scalar tree —
   reduce the same value sequences with the same association and produce
   the same IEEE-754 results.

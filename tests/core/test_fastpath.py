@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import native
 from repro.core.fastpath import fold_sorted_runs, row_offsets
 
 
@@ -13,7 +17,8 @@ def reference_fold(keys, values):
         return keys.copy(), values.copy(), 0
     starts = np.flatnonzero(np.concatenate(
         [[True], keys[1:] != keys[:-1]]))
-    folded = np.add.reduceat(values, starts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        folded = np.add.reduceat(values, starts)
     keep = folded != 0.0
     return keys[starts[keep]], folded[keep], len(starts)
 
@@ -78,6 +83,94 @@ class TestFoldSortedRuns:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+
+#: Values that stress the fold's bit identity beyond ordinary rounding.
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                           -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+
+
+@st.composite
+def sorted_streams(draw):
+    """Sorted key streams whose runs exercise every pairwise_sum branch.
+
+    A run of ``k`` values sums as ``v0 + pairwise(v1..)``, so run lengths
+    up to 1000 reach the sequential (< 8), eight-accumulator (<= 128) and
+    recursive-split branches.  Values are drawn by kind: ordinary, wide
+    exponents (overflow to ±inf), subnormals, exact cancellation to ±0.0,
+    and sprinkled specials (±0, ±inf, NaN).
+    """
+    lengths = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5)
+                   | st.lists(st.integers(1, 9), min_size=1, max_size=40))
+    key_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    kind = draw(st.sampled_from(["normal", "wide", "subnormal", "cancel",
+                                 "special"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    gaps = rng.integers(1, 4, size=len(lengths))
+    keys = np.repeat(np.cumsum(gaps) - 1, lengths).astype(key_dtype)
+    if kind == "wide":
+        with np.errstate(over="ignore"):
+            values = (rng.standard_normal(n)
+                      * 10.0 ** rng.integers(-320, 309, size=n))
+    elif kind == "subnormal":
+        values = rng.integers(-2**20, 2**20, size=n) * 5e-324
+    elif kind == "cancel":
+        half = rng.standard_normal(n)
+        values = np.where(rng.random(n) < 0.5, half, -half)
+        start = 0
+        for length in lengths:  # make whole runs cancel exactly
+            pairs = length // 2
+            values[start + pairs:start + 2 * pairs] = \
+                -values[start:start + pairs]
+            if length % 2:
+                values[start + length - 1] = rng.choice([0.0, -0.0])
+            start += length
+    else:
+        values = rng.standard_normal(n)
+    if kind == "special":
+        spots = rng.integers(0, n, size=max(1, n // 50))
+        values[spots] = rng.choice(SPECIAL_VALUES, size=len(spots))
+    return keys, values
+
+
+@pytest.fixture(params=["numpy", "native"])
+def fold_path(request, monkeypatch):
+    """Fold through numpy (fallback) or through the C kernel."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "LIB", None)
+    elif native.LIB is None:
+        pytest.skip(f"native kernels unavailable: {native.REASON}")
+    return request.param
+
+
+@given(stream=sorted_streams(), overwrite=st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fold_is_byte_identical_to_reduceat(fold_path, stream, overwrite):
+    keys, values = stream
+    want = reference_fold(keys, values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = fold_sorted_runs(keys.copy(), values.copy(),
+                               overwrite=overwrite)
+    assert got[0].dtype == keys.dtype
+    assert got[1].dtype == np.float64
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
+def test_native_fold_declines_only_nan_streams():
+    """The C kernel folds every NaN-free stream; NaN streams go to numpy,
+    whose choice among NaN payloads only numpy reproduces."""
+    if native.LIB is None:
+        pytest.skip(f"native kernels unavailable: {native.REASON}")
+    keys = np.array([1, 1, 2], dtype=np.int64)
+    for values, folded in ((np.array([np.inf, -np.inf, 1.0]), True),
+                           (np.array([1.0, np.nan, 1.0]), False)):
+        out_keys, out_values = np.empty_like(keys), np.empty_like(values)
+        result = native.fold_runs(keys, values, out_keys, out_values)
+        assert (result is not None) == folded
 
 
 class TestRowOffsets:

@@ -95,7 +95,8 @@ class TestStreamingMergeTree:
         fold = streaming.fold_sorted_runs
         argsort = np.argsort
         monkeypatch.setattr(streaming, "fold_sorted_runs",
-                            lambda k, v: blocks.append(len(k)) or fold(k, v))
+                            lambda k, v, **kw: blocks.append(len(k))
+                            or fold(k, v, **kw))
         monkeypatch.setattr(np, "argsort",
                             lambda *a, **kw: sorts.append(1)
                             or argsort(*a, **kw))
